@@ -192,7 +192,6 @@ def _append_history(record: dict) -> None:
     from repro.obs.clock import wall_time
 
     commit = _bench_commit()
-    on_device = record["gpu"]["device"] != "none"
     entry = {
         "timestamp": round(wall_time(), 1),
         "commit": commit,
@@ -201,18 +200,12 @@ def _append_history(record: dict) -> None:
             recognizer: section["batched_speedup_over_sequential"]
             for recognizer, section in record["recognizers"].items()
         },
-        "sharedmem_speedup_over_sequential": record["sharedmem"][
+        "sharded_speedup_over_sequential": record["multiprocess_sharded"][
             "speedup_over_sequential"
         ],
         "chunked_slowdown_over_unchunked": record["chunked"][
             "slowdown_over_unchunked"
         ],
-        # null on CPU-only hosts: without a device the ratio is numpy
-        # vs numpy and says nothing about accelerator throughput.
-        "gpu_speedup_over_batched": (
-            record["gpu"]["speedup_over_batched"] if on_device else None
-        ),
-        "gpu_device": record["gpu"]["device"] if on_device else None,
         "lab_deepen_to_2x_seconds": record["lab"]["deepen_to_2x_seconds"],
         "service_cached_queries_per_second": record["service"][
             "cached_queries_per_second"
@@ -266,15 +259,8 @@ def test_engine_backend_throughput():
     then writes ``BENCH_engine.json`` so the perf trajectory is tracked
     across PRs.
     """
-    import warnings
-
     from repro.core import intersecting_nonmember, member
-    from repro.engine import (
-        RECOGNIZERS,
-        ExecutionEngine,
-        GpuDegradationWarning,
-        available_backends,
-    )
+    from repro.engine import RECOGNIZERS, ExecutionEngine, available_backends
     from repro.obs import get_registry
 
     # Start from a clean registry so the telemetry section reflects
@@ -309,12 +295,7 @@ def test_engine_backend_throughput():
         counts = {}
         raw_seconds = {}
         for name in available_backends():
-            with warnings.catch_warnings():
-                # On CPU-only hosts the gpu backend warns that it is
-                # degrading to numpy; the bench run is exactly where
-                # that degradation is expected and measured.
-                warnings.simplefilter("ignore", GpuDegradationWarning)
-                engine = ExecutionEngine(name)
+            engine = ExecutionEngine(name)
             start = time.perf_counter()
             estimates = engine.run_many(words, trials, rng=2006, recognizer=recognizer)
             elapsed = time.perf_counter() - start
@@ -366,15 +347,15 @@ def test_engine_backend_throughput():
         "batched_speedup_over_sequential"
     ]
 
-    # The sharedmem backend: one word's trials fanned out through
-    # shared memory.  Gates: counts seed-identical to batched (always)
-    # and a real speedup over the sequential reference (full runs only
-    # — at smoke sizes the pool start-up dominates).
+    # The pool backend: one word's trials sharded over two processes.
+    # Gates: counts seed-identical to batched (always) and a real
+    # speedup over the sequential reference (full runs only — at smoke
+    # sizes the pool start-up dominates).
     start = time.perf_counter()
-    shm_est = ExecutionEngine("sharedmem", processes=2).estimate_acceptance(
-        words[0], trials, rng=2006
-    )
-    shm_s = time.perf_counter() - start
+    pool_est = ExecutionEngine(
+        "multiprocess", processes=2, shard_trials=True
+    ).estimate_acceptance(words[0], trials, rng=2006)
+    pool_s = time.perf_counter() - start
     start = time.perf_counter()
     seq_est = ExecutionEngine("sequential").estimate_acceptance(
         words[0], trials, rng=2006
@@ -385,26 +366,27 @@ def test_engine_backend_throughput():
         words[0], trials, rng=2006
     )
     batched_s = time.perf_counter() - start
-    assert shm_est.accepted == batched_est.accepted == seq_est.accepted
-    record["sharedmem"] = {
+    assert pool_est.accepted == batched_est.accepted == seq_est.accepted
+    record["multiprocess_sharded"] = {
+        "processes": 2,
         "trials": trials,
-        "seconds": round(shm_s, 4),
-        "trials_per_second": round(trials / shm_s, 1),
-        "accepted": shm_est.accepted,
-        "matches_batched": shm_est.accepted == batched_est.accepted,
-        "speedup_over_sequential": round(seq_s / shm_s, 1),
+        "seconds": round(pool_s, 4),
+        "trials_per_second": round(trials / pool_s, 1),
+        "accepted": pool_est.accepted,
+        "matches_batched": pool_est.accepted == batched_est.accepted,
+        "speedup_over_sequential": round(seq_s / pool_s, 1),
     }
     if not smoke:
-        assert seq_s / shm_s >= 2.0, (
-            f"sharedmem speedup only {seq_s / shm_s:.1f}x over sequential "
-            "(gate 2x)"
+        assert seq_s / pool_s >= 2.0, (
+            f"sharded multiprocess speedup only {seq_s / pool_s:.1f}x over "
+            "sequential (gate 2x)"
         )
 
     # Chunked (memory-bounded) vs unchunked batched execution.  Gates:
     # byte-identical counts (always) and bounded tiling overhead (full
     # runs only).
     budget = 64 * 1024
-    # The unchunked reference is the batched run the sharedmem parity
+    # The unchunked reference is the batched run the pool parity
     # check just timed — same word, trials and seed, no need to re-run.
     unchunked, unchunked_s = batched_est, batched_s
     start = time.perf_counter()
@@ -428,75 +410,6 @@ def test_engine_backend_throughput():
             f"chunked execution {slowdown:.2f}x slower than unchunked "
             "(gate 3x)"
         )
-
-    # The gpu backend and the array-namespace axis.  Count parity for
-    # gpu is already enforced above (it is a registered backend, so the
-    # sweep loop runs it against every recognizer); here the record
-    # gains the device identity and two timing ratios, both min-of-3
-    # to denoise millisecond-scale runs:
-    #
-    # * ``gpu.speedup_over_batched`` — on a CPU-only host this is the
-    #   degraded path, numpy vs numpy through the namespace-parameter
-    #   plumbing, so the *overhead* gate applies (the xp refactor may
-    #   cost the batched path at most 10%); with a real device the
-    #   >= 10x device gate applies instead, at k = 3 where the state
-    #   batches are large enough to amortize transfers.
-    from repro.engine import GpuBackend
-    from repro.xp import CANDIDATES, namespace_status
-
-    statuses = namespace_status()
-    device = next(
-        (
-            statuses[name].device
-            for name in CANDIDATES
-            if name != "numpy" and statuses[name].available
-        ),
-        None,
-    )
-
-    def _best_of_3(engine, word, n):
-        best, accepted = float("inf"), None
-        for _ in range(3):
-            start = time.perf_counter()
-            est = engine.estimate_acceptance(word, n, rng=2006)
-            best = min(best, time.perf_counter() - start)
-            accepted = est.accepted
-        return best, accepted
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GpuDegradationWarning)
-        gpu_engine = ExecutionEngine("gpu")
-    gpu_word = member(3, np.random.default_rng(4)) if device else words[0]
-    gpu_s, gpu_accepted = _best_of_3(gpu_engine, gpu_word, trials)
-    ref_s, ref_accepted = _best_of_3(ExecutionEngine("batched"), gpu_word, trials)
-    assert gpu_accepted == ref_accepted, "gpu counts drifted from batched"
-    gpu_speedup = ref_s / gpu_s
-    record["gpu"] = {
-        "device": device or "none",
-        "k": 3 if device else 2,
-        "trials": trials,
-        "seconds": round(gpu_s, 4),
-        "batched_seconds": round(ref_s, 4),
-        "accepted": gpu_accepted,
-        "matches_batched": gpu_accepted == ref_accepted,
-        "speedup_over_batched": round(gpu_speedup, 2),
-    }
-    overhead = gpu_s / ref_s
-    record["array_namespace"] = {
-        "namespace": "numpy" if device is None else statuses["numpy"].name,
-        "degraded_overhead_over_batched": round(overhead, 3),
-    }
-    if not smoke:
-        if device is not None:
-            assert gpu_speedup >= 10.0, (
-                f"gpu speedup only {gpu_speedup:.1f}x over batched on "
-                f"{device} (gate 10x at k = 3)"
-            )
-        else:
-            assert overhead <= 1.10, (
-                f"array-namespace plumbing costs {overhead:.3f}x over the "
-                "batched numpy path (gate 1.10x)"
-            )
 
     # The lab store: the same experiment run cold (executes everything),
     # warm (pure cache hit, zero engine trials) and deepened to 2x

@@ -39,7 +39,7 @@ import numpy as np
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from . import __version__
-    from .engine import RECOGNIZERS, available_backends, describe_backends
+    from .engine import RECOGNIZERS, available_backends
 
     print(f"repro {__version__}")
     print(
@@ -53,8 +53,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "  Prop. 3.7     classical online upper bound O(n^{1/3})\n"
         "\n"
         f"Engine backends (--backend): {', '.join(available_backends())}\n"
-        + "".join(f"  {line}\n" for line in describe_backends())
-        + f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
+        f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
         "Memory budget (--memory-budget): tile dense trial batches to a\n"
         "  byte cap (e.g. 256M); counts are identical to unbudgeted runs\n"
         "Service: `repro serve` shares one store/engine across concurrent\n"
@@ -151,16 +150,15 @@ def _backend_arg(text: str) -> str:
     """``--backend`` values: any *registered* engine backend name.
 
     Validated against the live registry (not a frozen ``choices=``
-    list), so the error names every backend with its availability —
-    including why ``gpu`` would degrade on this machine.
+    list), so the error names every registered backend.
     """
-    from .engine import available_backends, describe_backends
+    from .engine import available_backends
 
-    if text in available_backends():
+    names = available_backends()
+    if text in names:
         return text
-    listing = "; ".join(describe_backends())
     raise argparse.ArgumentTypeError(
-        f"unknown backend {text!r}; registered backends: {listing}"
+        f"unknown backend {text!r}; registered backends: {', '.join(names)}"
     )
 
 
@@ -605,9 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="batched",
         type=_backend_arg,
-        help="execution backend (sequential | batched | multiprocess | "
-        "sharedmem | gpu; gpu degrades to the identical numpy path "
-        "when no device is visible)",
+        help="execution backend (sequential | batched | multiprocess)",
     )
     samp.add_argument(
         "--memory-budget",

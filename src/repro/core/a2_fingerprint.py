@@ -33,25 +33,21 @@ from ..streaming.algorithm import OnlineAlgorithm
 from .structure import BlockStreamParser, block_type
 
 
-def block_fingerprints_at(block: str, p: int, ts, xp=None):
+def block_fingerprints_at(block: str, p: int, ts):
     """``F_B(t) = sum_i B_i t^i mod p`` at every point of *ts* at once.
 
     One modular-Horner sweep over the block's bits, vectorized across
     the evaluation points — the batched counterpart of the streaming
     accumulator in :class:`A2FingerprintCheck` (identical integers).
-    *xp* (numpy when omitted) is the array namespace the sweep runs in;
-    the arithmetic is exact ``int64`` either way, so the fingerprints
-    are identical on every namespace.
     """
-    xp = np if xp is None else xp
     bits = np.frombuffer(block.encode("ascii"), dtype=np.uint8) - ord("0")
-    acc = xp.zeros(ts.shape, dtype=xp.int64)
+    acc = np.zeros(ts.shape, dtype=np.int64)
     for bit in bits[::-1]:
         acc = (acc * ts + int(bit)) % p
     return acc
 
 
-def a2_passes_at_points(k: int, blocks: list[str], ts, p: Optional[int] = None, xp=None):
+def a2_passes_at_points(k: int, blocks: list[str], ts, p: Optional[int] = None):
     """A2's output (as a boolean array) at each evaluation point in *ts*.
 
     Replays the chained same-type fingerprint comparison for every point
@@ -64,26 +60,24 @@ def a2_passes_at_points(k: int, blocks: list[str], ts, p: Optional[int] = None, 
 
     *p* is the A2 modulus, :func:`fingerprint_prime`\\ ``(k)``; callers
     looping over chunk tiles pass it in so it is derived once per run,
-    not once per tile.  *xp* (numpy when omitted) is the array namespace
-    the sweep runs in; the returned boolean array lives in *xp*.
+    not once per tile.
     """
-    xp = np if xp is None else xp
     if p is None:
         p = fingerprint_prime(k)
     if p >= 1 << 31:
         raise ValueError(
             f"batched A2 sweep needs p^2 < 2^63 (k = {k} gives p = {p})"
         )
-    ts = xp.asarray(ts, dtype=xp.int64)
-    if bool(xp.any((ts < 0) | (ts >= p))):
+    ts = np.asarray(ts, dtype=np.int64)
+    if bool(np.any((ts < 0) | (ts >= p))):
         raise ValueError("evaluation points must lie in [0, p)")
-    ok = xp.ones(ts.shape, dtype=xp.bool_)
+    ok = np.ones(ts.shape, dtype=np.bool_)
     cache: dict[str, object] = {}
     prev = {"x": None, "y": None}
     for b, s in enumerate(blocks):
         fp = cache.get(s)
         if fp is None:
-            fp = cache[s] = block_fingerprints_at(s, p, ts, xp=xp)
+            fp = cache[s] = block_fingerprints_at(s, p, ts)
         typ = "y" if block_type(b) == "y" else "x"
         if prev[typ] is not None:
             ok &= fp == prev[typ]

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..mathx.primes import fingerprint_prime
 from ..rng import resolve_trial_seeds, spawn
-from ..xp import to_numpy
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
 from .a1_format import A1FormatCheck
@@ -242,18 +241,14 @@ def full_storage_accepts(word: str) -> bool:
 
 
 def _decide_blockwise_tile(
-    k: int, blocks: Sequence[str], p: int, seeds: Sequence[int], xp=None
+    k: int, blocks: Sequence[str], p: int, seeds: Sequence[int]
 ) -> np.ndarray:
-    """A2 verdicts for one tile of trials, from explicit child seeds.
-
-    RNG spawning stays on the host; *xp* only moves the exact-int64
-    Horner sweep, so the verdicts are identical on every namespace.
-    """
+    """A2 verdicts for one tile of trials, from explicit child seeds."""
     ts = np.empty(len(seeds), dtype=np.int64)
     for i, seed in enumerate(seeds):
         (r1,) = spawn(np.random.default_rng(seed), 1)
         ts[i] = r1.integers(0, p)
-    return to_numpy(a2_passes_at_points(k, list(blocks), ts, p=p, xp=xp))
+    return a2_passes_at_points(k, list(blocks), ts, p=p)
 
 
 def sample_blockwise_acceptance_batch(
@@ -263,7 +258,6 @@ def sample_blockwise_acceptance_batch(
     trial_seeds: Optional[Sequence[int]] = None,
     max_batch_bytes: Optional[int] = None,
     chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of Proposition 3.7's machine, batched.
 
@@ -277,10 +271,8 @@ def sample_blockwise_acceptance_batch(
     spawn so shards of one word's trials can run in other processes.
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
     chunks decided sequentially with byte-identical counts (see
-    :mod:`repro.core.tiling`).  *xp* (numpy when omitted) is the array
-    namespace the Horner sweep runs in (see :mod:`repro.xp`); counts
-    are namespace-invariant because the sweep is exact integer
-    arithmetic.  Returns a boolean array of length *trials*.
+    :mod:`repro.core.tiling`).  Returns a boolean array of length
+    *trials*.
     """
     seeds = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -300,10 +292,10 @@ def sample_blockwise_acceptance_batch(
     per_trial = 24 + 8 * len(set(blocks))
     tile = resolve_chunk_trials(trials, max_batch_bytes, chunk_trials, per_trial)
     if tile >= trials:
-        return _decide_blockwise_tile(k, blocks, p, seeds, xp=xp)
+        return _decide_blockwise_tile(k, blocks, p, seeds)
     out = np.empty(trials, dtype=bool)
     for lo, hi in tile_bounds(trials, tile):
-        out[lo:hi] = _decide_blockwise_tile(k, blocks, p, seeds[lo:hi], xp=xp)
+        out[lo:hi] = _decide_blockwise_tile(k, blocks, p, seeds[lo:hi])
     return out
 
 
@@ -314,7 +306,6 @@ def sample_full_storage_acceptance_batch(
     trial_seeds: Optional[Sequence[int]] = None,
     max_batch_bytes: Optional[int] = None,
     chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of the full-storage baseline, batched.
 
@@ -327,9 +318,7 @@ def sample_full_storage_acceptance_batch(
     are still validated so the sampler stays shard-compatible, and the
     tiling knobs are accepted (and validated) for signature parity with
     the randomized samplers — the broadcast output array is the whole
-    working set, so there is nothing to tile.  *xp* is likewise accepted
-    and ignored: the uint64-lane decision is a one-shot host reduction
-    with nothing worth shipping to a device.
+    working set, so there is nothing to tile.
     """
     if trial_seeds is not None:
         resolve_trial_seeds(trials, rng, trial_seeds)

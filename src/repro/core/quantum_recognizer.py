@@ -35,7 +35,6 @@ from ..quantum.operators import (
 from ..quantum.registers import A3Registers
 from ..quantum.state import BatchedStateVector, StateVector
 from ..rng import ensure_rng, resolve_trial_seeds, spawn
-from ..xp import to_numpy
 from ..streaming.combinators import ParallelComposition
 from ..mathx.primes import fingerprint_prime
 from .a1_format import A1FormatCheck
@@ -140,7 +139,7 @@ def exact_a2_pass_probability(word: str, max_k: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
+def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     """Exact Pr[b = 1] of A3's final measurement for each j in *js*.
 
     The batched counterpart of :func:`exact_a3_detection_for_blocks`:
@@ -151,14 +150,7 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     block string.  Row ``i`` undergoes float-for-float the same
     operation sequence as a sequential run with ``j = js[i]``, so the
     returned probabilities are bit-identical to the per-trial path.
-
-    *xp* (numpy when omitted) is the array namespace the state batch
-    lives in — the ``gpu`` engine backend passes a device namespace so
-    the whole evolution runs on the device; masks and the returned
-    probabilities stay host-side numpy either way.
     """
-    host = xp is None or xp is np
-    xp = np if host else xp
     regs = A3Registers(k)
     js = np.asarray(js, dtype=np.int64)
     if js.ndim != 1 or js.size == 0:
@@ -168,10 +160,9 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     states = BatchedStateVector.broadcast(
         StateVector(initial_phi(regs), check=False), js.size
     )
-    batch = states.amplitudes if host else xp.asarray(states.amplitudes)
-    op_xp = None if host else xp
-    uk = UkOperator(regs, xp=op_xp)
-    sk = SkOperator(regs, xp=op_xp)
+    batch = states.amplitudes
+    uk = UkOperator(regs)
+    sk = SkOperator(regs)
     vx: dict[str, VxOperator] = {}
     wx: dict[str, WxOperator] = {}
     rx: dict[str, RxOperator] = {}
@@ -179,11 +170,10 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     def masked(mask: np.ndarray, *ops) -> None:
         if not mask.any():
             return
-        rows = mask if host else xp.asarray(mask)
-        sub = batch[rows]
+        sub = batch[mask]
         for op in ops:
             sub = op.apply(sub)
-        batch[rows] = sub
+        batch[mask] = sub
 
     for b, s in enumerate(blocks):
         r, typ = b // 3, b % 3
@@ -191,17 +181,17 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
         closing = js == r   # rows in repetition j + 1 (the V/R finish)
         if typ == 0:
             # x block: V_x for running and closing rows alike.
-            op = vx.get(s) or vx.setdefault(s, VxOperator(regs, s, xp=op_xp))
+            op = vx.get(s) or vx.setdefault(s, VxOperator(regs, s))
             masked(running | closing, op)
         elif typ == 1:
             # y block: W_y while iterating, R_y at the finish.
-            masked(running, wx.get(s) or wx.setdefault(s, WxOperator(regs, s, xp=op_xp)))
-            masked(closing, rx.get(s) or rx.setdefault(s, RxOperator(regs, s, xp=op_xp)))
+            masked(running, wx.get(s) or wx.setdefault(s, WxOperator(regs, s)))
+            masked(closing, rx.get(s) or rx.setdefault(s, RxOperator(regs, s)))
         else:
             # z block: V_z then the diffusion closes a full iteration.
-            masked(running, vx.get(s) or vx.setdefault(s, VxOperator(regs, s, xp=op_xp)), uk, sk, uk)
+            masked(running, vx.get(s) or vx.setdefault(s, VxOperator(regs, s)), uk, sk, uk)
     # Exact Pr[l = 1] per row; the l qubit is "the last qubit" of step 5.
-    return marked_probabilities(batch, regs, xp=op_xp)
+    return marked_probabilities(batch, regs)
 
 
 def _decide_quantum_tile(
@@ -211,7 +201,6 @@ def _decide_quantum_tile(
     m: int,
     seeds: list[int],
     detection_cache: dict[int, float],
-    xp=None,
 ) -> np.ndarray:
     """Accept decisions for one tile of trials, from explicit child seeds.
 
@@ -221,12 +210,6 @@ def _decide_quantum_tile(
     distinct counts is evolved once per word however many tiles the run
     is split into (only scalars are retained, so the cache never eats
     into the byte budget).
-
-    RNG spawning and the per-trial accept decisions always stay on the
-    host; *xp* only moves the A2 Horner sweep and the A3 state evolution
-    into another namespace, so counts are namespace-invariant whenever
-    the namespace's float arithmetic is (and exactly bit-stable on any
-    CPU namespace, where the operation sequence is identical).
     """
     n = len(seeds)
     ts = np.empty(n, dtype=np.int64)
@@ -237,13 +220,11 @@ def _decide_quantum_tile(
         ts[i] = r1.integers(0, p)
         js[i] = r2.integers(0, m)
         coins[i] = r2.random()
-    a2_ok = to_numpy(a2_passes_at_points(k, blocks, ts, p=p, xp=xp))
+    a2_ok = a2_passes_at_points(k, blocks, ts, p=p)
     unique_js, inverse = np.unique(js, return_inverse=True)
     missing = [int(j) for j in unique_js if int(j) not in detection_cache]
     if missing:
-        probs = batched_a3_detection(
-            k, blocks, np.asarray(missing, dtype=np.int64), xp=xp
-        )
+        probs = batched_a3_detection(k, blocks, np.asarray(missing, dtype=np.int64))
         detection_cache.update(zip(missing, (float(q) for q in probs)))
     detection = np.array([detection_cache[int(j)] for j in unique_js])[inverse]
     a3_ok = ~(coins < detection)  # b = 1 (intersection seen) rejects
@@ -257,7 +238,6 @@ def sample_acceptance_batch(
     trial_seeds=None,
     max_batch_bytes: Optional[int] = None,
     chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of the recognizer, computed batched.
 
@@ -278,10 +258,6 @@ def sample_acceptance_batch(
     concatenated decisions are byte-identical to the untiled run while
     the working set stays within the budget.  Returns a boolean array
     of length *trials*.
-
-    *xp* (numpy when omitted) is the array namespace the dense sweeps
-    run in (see :mod:`repro.xp`); trial randomness and the decisions
-    stay on the host, so counts match numpy's on every namespace.
     """
     seeds = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -311,12 +287,10 @@ def sample_acceptance_batch(
         )
     detection_cache: dict[int, float] = {}
     if tile >= trials:
-        return _decide_quantum_tile(k, blocks, p, m, seeds, detection_cache, xp=xp)
+        return _decide_quantum_tile(k, blocks, p, m, seeds, detection_cache)
     out = np.empty(trials, dtype=bool)
     for lo, hi in tile_bounds(trials, tile):
-        out[lo:hi] = _decide_quantum_tile(
-            k, blocks, p, m, seeds[lo:hi], detection_cache, xp=xp
-        )
+        out[lo:hi] = _decide_quantum_tile(k, blocks, p, m, seeds[lo:hi], detection_cache)
     return out
 
 

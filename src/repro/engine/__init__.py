@@ -6,14 +6,8 @@ registers the three stock backends:
 * ``sequential`` — per-trial streaming passes (reference semantics);
 * ``batched``    — ``(B, 2^n)`` state batches + one Horner sweep,
   optionally tiled under a ``max_batch_bytes`` memory budget;
-* ``multiprocess`` — word-level fan-out over a process pool;
-* ``sharedmem``  — trial-level fan-out with the word material and the
-  per-trial seed plan placed in ``multiprocessing.shared_memory`` once
-  instead of pickled per task;
-* ``gpu``        — the batched path with its array namespace resolved
-  to an accelerator (CuPy / torch-on-CUDA, see :mod:`repro.xp`), tiles
-  bounded by free device memory; degrades inline to the identical
-  numpy path (one warning) when no device is visible.
+* ``multiprocess`` — word-level fan-out over a process pool, or
+  trial-level fan-out of one word with ``shard_trials=True``.
 
 Orthogonal to the backend axis, every backend samples any of the stock
 recognizers (``recognizer="quantum" | "classical-blockwise" |
@@ -30,8 +24,6 @@ from .api import (
     ExecutionEngine,
     RECOGNIZERS,
     available_backends,
-    backend_availability,
-    describe_backends,
     get_backend,
     register_backend,
     trial_seed_plan,
@@ -40,8 +32,6 @@ from .api import (
 from .sequential import SequentialBackend
 from .batched import BatchedDenseBackend
 from .multiprocess import MultiprocessBackend
-from .sharedmem import SharedMemoryBackend
-from .gpu import GpuBackend, GpuDegradationWarning
 
 __all__ = [
     "AcceptanceEstimate",
@@ -49,8 +39,6 @@ __all__ = [
     "ExecutionEngine",
     "RECOGNIZERS",
     "available_backends",
-    "backend_availability",
-    "describe_backends",
     "get_backend",
     "register_backend",
     "trial_seed_plan",
@@ -58,7 +46,4 @@ __all__ = [
     "SequentialBackend",
     "BatchedDenseBackend",
     "MultiprocessBackend",
-    "SharedMemoryBackend",
-    "GpuBackend",
-    "GpuDegradationWarning",
 ]

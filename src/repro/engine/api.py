@@ -10,12 +10,9 @@ the *how* vary per backend:
 * ``batched`` — all trials of a word advance together as ``(B, 2^n)``
   state batches and one modular-Horner sweep
   (:mod:`repro.engine.batched`);
-* ``multiprocess`` — the word list fans out over a process pool, each
-  worker running one of the in-process backends
-  (:mod:`repro.engine.multiprocess`);
-* ``sharedmem`` — one word's trials fan out over a process pool with
-  the word material and per-trial seed plan placed in shared memory
-  once instead of pickled per task (:mod:`repro.engine.sharedmem`).
+* ``multiprocess`` — the word list (or, with ``shard_trials=True``,
+  one word's trials) fans out over a process pool, each worker running
+  one of the in-process backends (:mod:`repro.engine.multiprocess`).
 
 Seeding is part of the API contract: ``run_many`` derives one child
 seed per word with :func:`repro.rng.spawn_seeds`, in word order, and
@@ -167,19 +164,6 @@ class ExecutionBackend(ABC):
     #: Registry key; subclasses set it and register via register_backend.
     name: str = "abstract"
 
-    @classmethod
-    def availability(cls) -> Tuple[bool, str]:
-        """``(usable_at_full_speed, detail)`` for this backend, probed cheaply.
-
-        Every registered backend *runs* everywhere (the process-pool and
-        device backends degrade inline), so the flag answers "would it
-        run in its native mode here?" — the ``gpu`` backend overrides
-        this with which array library / device the probe found.  The
-        detail string is surfaced by ``repro info`` and by
-        :func:`get_backend`'s unknown-name error.
-        """
-        return True, "always available"
-
     @abstractmethod
     def count_accepted(
         self,
@@ -231,23 +215,6 @@ def available_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
-def backend_availability() -> Dict[str, Tuple[bool, str]]:
-    """``{name: (usable_at_full_speed, detail)}`` for every backend."""
-    return {name: _BACKENDS[name].availability() for name in available_backends()}
-
-
-def describe_backends() -> List[str]:
-    """One ``"name: detail"`` line per registered backend.
-
-    The shared vocabulary of ``repro info``, the CLI's ``--backend``
-    validation error, and :func:`get_backend`'s unknown-name error —
-    all three list the same names with the same availability detail.
-    """
-    return [
-        f"{name}: {detail}" for name, (_ok, detail) in backend_availability().items()
-    ]
-
-
 BackendSpec = Union[str, ExecutionBackend]
 
 
@@ -260,9 +227,9 @@ def get_backend(spec: BackendSpec = "batched", **options: Any) -> ExecutionBacke
     try:
         cls = _BACKENDS[spec]
     except KeyError:
-        listing = "; ".join(describe_backends())
         raise ValueError(
-            f"unknown backend {spec!r}; registered backends: {listing}"
+            f"unknown backend {spec!r}; registered backends: "
+            f"{', '.join(available_backends())}"
         ) from None
     return cls(**options)
 
@@ -272,7 +239,7 @@ class ExecutionEngine:
 
     Args:
         backend: a registry name (``"sequential"``, ``"batched"``,
-            ``"multiprocess"``, ``"sharedmem"``) or a configured
+            ``"multiprocess"``) or a configured
             :class:`ExecutionBackend` instance.  ``**options`` go to
             the named backend's constructor (e.g.
             ``max_batch_bytes=``, ``shard_trials=``) and are rejected
@@ -286,7 +253,7 @@ class ExecutionEngine:
 
     Failure modes: unknown backend or recognizer names raise
     ``ValueError`` at construction / call time; the process-pool
-    backends degrade *inline* (same counts, no parallelism) when pools
+    backend degrades *inline* (same counts, no parallelism) when pools
     are unavailable rather than raising.
 
     >>> from repro.core import member

@@ -62,14 +62,9 @@ class BatchedDenseBackend(ExecutionBackend):
         self,
         max_batch_bytes: Optional[int] = None,
         chunk_trials: Optional[int] = None,
-        xp: Any = None,
     ) -> None:
         self.max_batch_bytes = max_batch_bytes
         self.chunk_trials = chunk_trials
-        #: Array namespace the dense sweeps run in (see :mod:`repro.xp`);
-        #: None means numpy.  The seeding contract is namespace-blind:
-        #: trial randomness stays on the host, so counts match numpy's.
-        self.xp = xp
 
     def count_accepted(
         self,
@@ -101,7 +96,6 @@ class BatchedDenseBackend(ExecutionBackend):
                         rng,
                         max_batch_bytes=self.max_batch_bytes,
                         chunk_trials=self.chunk_trials,
-                        xp=self.xp,
                     )
                 )
             )
@@ -134,7 +128,6 @@ class BatchedDenseBackend(ExecutionBackend):
                         trial_seeds=seeds,
                         max_batch_bytes=self.max_batch_bytes,
                         chunk_trials=self.chunk_trials,
-                        xp=self.xp,
                     )
                 )
             )

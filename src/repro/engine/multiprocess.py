@@ -106,15 +106,16 @@ class MultiprocessBackend(ExecutionBackend):
         shard_trials: bool = False,
         max_batch_bytes: Optional[int] = None,
     ) -> None:
-        if inner in (self.name, "sharedmem"):
-            # Nesting pool backends would spawn a pool inside every
-            # pool worker (up to N^2 processes).
-            raise ValueError(f"multiprocess cannot nest the {inner!r} backend")
         self.inner = inner
         self.processes = processes
         self.shard_trials = shard_trials
         self.max_batch_bytes = max_batch_bytes
         self._inner_backend = _inner_backend(inner, max_batch_bytes)
+        if self._inner_backend.name == self.name:
+            # Nesting pool backends would spawn a pool inside every
+            # pool worker (up to N^2 processes).  Checked on the resolved
+            # backend, so a configured instance is caught like a name.
+            raise ValueError(f"multiprocess cannot nest the {inner!r} backend")
         if shard_trials and not hasattr(self._inner_backend, "count_accepted_from_seeds"):
             raise ValueError(
                 f"inner backend {inner!r} cannot run from explicit trial "
@@ -123,6 +124,31 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _workers(self, jobs: int) -> int:
         return _workers_for(self.processes, jobs)
+
+    def _count_sharded(self, word: str, seeds: List[int], recognizer: str) -> int:
+        """Fan explicit trial seeds out as contiguous shards, one per worker.
+
+        Runs inline when one worker suffices, and degrades inline when
+        the pool fails.  The callers observe the call; this does not.
+        """
+        workers = min(self._workers(len(seeds)), len(seeds))
+        if workers <= 1:
+            return self._inner_backend.count_accepted_from_seeds(
+                word, seeds, recognizer
+            )
+        shards = [
+            (word, seeds[lo:hi], self.inner, recognizer, self.max_batch_bytes)
+            for lo, hi in _shard_bounds(len(seeds), workers)
+        ]
+        count_shards(self.name, len(shards))
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+                return sum(pool.map(_count_shard, shards))
+        except _pool_errors():
+            count_degradation(self.name, "inline")
+            return sum(_count_shard(shard) for shard in shards)
 
     def count_accepted(
         self,
@@ -146,25 +172,7 @@ class MultiprocessBackend(ExecutionBackend):
             # Trial-level sharding: the word's per-trial seeds are spawned
             # exactly as the unsharded inner backend would, then split into
             # contiguous shards — one worker each, summed counts.
-            seeds = spawn_seeds(rng, trials)
-            workers = min(self._workers(trials), trials)
-            if workers <= 1:
-                return self._inner_backend.count_accepted_from_seeds(
-                    word, seeds, recognizer
-                )
-            shards = [
-                (word, seeds[lo:hi], self.inner, recognizer, self.max_batch_bytes)
-                for lo, hi in _shard_bounds(trials, workers)
-            ]
-            count_shards(self.name, len(shards))
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                    return sum(pool.map(_count_shard, shards))
-            except _pool_errors():
-                count_degradation(self.name, "inline")
-                return sum(_count_shard(shard) for shard in shards)
+            return self._count_sharded(word, spawn_seeds(rng, trials), recognizer)
 
     def count_accepted_from_seeds(
         self,
@@ -187,28 +195,13 @@ class MultiprocessBackend(ExecutionBackend):
             # already-complete run) is a no-op on every backend.
             return 0
         with observe_backend_call(self.name, recognizer, len(seeds)):
-            workers = min(self._workers(len(seeds)), len(seeds))
             if recognizer in DETERMINISTIC_RECOGNIZERS:
                 # The machine consults no randomness: one inline decision
                 # beats shipping unused seed lists to a pool.
-                workers = 1
-            if workers <= 1:
                 return self._inner_backend.count_accepted_from_seeds(
                     word, seeds, recognizer
                 )
-            shards = [
-                (word, seeds[lo:hi], self.inner, recognizer, self.max_batch_bytes)
-                for lo, hi in _shard_bounds(len(seeds), workers)
-            ]
-            count_shards(self.name, len(shards))
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                    return sum(pool.map(_count_shard, shards))
-            except _pool_errors():
-                count_degradation(self.name, "inline")
-                return sum(_count_shard(shard) for shard in shards)
+            return self._count_sharded(word, seeds, recognizer)
 
     def count_accepted_many(
         self,

@@ -1,6 +1,6 @@
 """Engine-layer instrumentation: one helper, every backend.
 
-:func:`observe_backend_call` is the single pattern all five backends
+:func:`observe_backend_call` is the single pattern all three backends
 wrap their counting entry points in — a static-named span (so traces
 show which backend decided which trials), per-``(backend, recognizer)``
 call/trial counters, and a latency histogram observed only on success
@@ -9,8 +9,8 @@ in one place keeps the metric catalog coherent: every backend emits
 the *same* names with the *same* labels, so dashboards and the bench
 harness can sweep ``backend=`` values without special cases.
 
-:func:`count_degradation` records the silent-slow-path events — gpu
-running on numpy, pool backends falling back inline — as monotonic
+:func:`count_degradation` records the silent-slow-path events — the
+pool backend falling back inline — as monotonic
 counters a fleet operator can alert on (surfaced by the service's
 ``stats``/``metrics`` ops).  The degradation paths themselves are
 count-preserving by construction; the counter only makes them visible.

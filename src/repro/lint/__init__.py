@@ -1,11 +1,10 @@
 """``repro.lint`` — AST-based invariant checker for this repository.
 
 The contracts this reproduction stands on — same seed ⇒ byte-identical
-counts on every backend, host-numpy RNG with ``xp``-parameterized
-device kernels, paired acquisition/release in the lab store and
-sharedmem backend — cannot be exhaustively enforced by tests: one
-stray ``np.random.default_rng()`` in a kernel or one unpaired
-``SharedMemory`` close breaks them silently.  This package makes them
+counts on every backend, seeded host RNG only, paired
+acquisition/release in the lab store — cannot be exhaustively enforced
+by tests: one stray ``np.random.default_rng()`` in a kernel or one
+unprotected ``os.close`` breaks them silently.  This package makes them
 machine-checked on every commit.
 
 Entry points

@@ -19,7 +19,6 @@ from . import (  # noqa: F401  — imported for their registration side effect
     seed_flow,
     telemetry,
     wallclock,
-    xp_namespace,
 )
 from .async_blocking import DEFAULT_BLOCKING_CALLS, DEFAULT_BLOCKING_ROOTS
 from .float_determinism import DEFAULT_PATHS
@@ -28,12 +27,10 @@ from .rng_discipline import DEFAULT_SEED_SITES
 from .seed_flow import DEFAULT_ENTRY_POINTS, DEFAULT_SOURCE_FUNCTIONS
 from .telemetry import METRIC_CALLS
 from .wallclock import DEFAULT_SANCTIONED
-from .xp_namespace import DEFAULT_BOUNDARIES
 
 __all__ = [
     "DEFAULT_BLOCKING_CALLS",
     "DEFAULT_BLOCKING_ROOTS",
-    "DEFAULT_BOUNDARIES",
     "DEFAULT_ENTRY_POINTS",
     "DEFAULT_GUARDED_TARGETS",
     "DEFAULT_MUTATION_CALLS",

@@ -3,18 +3,14 @@
 A ``except Exception`` (or bare ``except:`` / ``except BaseException``)
 hides exactly the failures this library's contracts are built to make
 loud: a seed-parity break surfaces as an assertion somewhere deep in a
-backend, a leaked shared-memory segment as an ``OSError`` at teardown.
+backend, a leaked file descriptor as an ``OSError`` at teardown.
 Swallowed broadly, both degrade into silent wrong-ness.
 
-The two *intentional* classes of broad handler carry line pragmas with
-reasons (the rule ships enabled, not advisory):
-
-* the :mod:`repro.xp` availability probes — any failure while
-  importing or interrogating an accelerator library means exactly
-  "unavailable", never a crash;
-* the service envelope boundary and shutdown paths in
-  :mod:`repro.service.server` — a daemon must answer with an ``error``
-  envelope (or keep stopping) whatever a handler raised.
+The *intentional* broad handlers carry line pragmas with reasons (the
+rule ships enabled, not advisory): the service envelope boundary and
+shutdown paths in :mod:`repro.service.server` — a daemon must answer
+with an ``error`` envelope (or keep stopping) whatever a handler
+raised.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ class BroadExceptRule(Rule):
     id = "broad-except"
     summary = (
         "no `except Exception` / bare `except` outside pragma'd "
-        "boundaries (xp probes, service envelope)"
+        "boundaries (service envelope, probes)"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

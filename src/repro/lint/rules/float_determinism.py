@@ -10,7 +10,7 @@ per-row 1-D sums** (see ``repro.quantum.grover.marked_probabilities``),
 which are bit-identical to the sequential path.
 
 The rule flags float-reduction calls carrying an ``axis`` argument —
-``np.sum/xp.sum/arr.sum`` and the mean/prod/nansum family — inside the
+``np.sum/arr.sum`` and the mean/prod/nansum family — inside the
 configured core paths (``repro/quantum/``, ``repro/core/`` by
 default).  Exact-integer packing helpers (``np.packbits``) and shape
 ops (``np.stack``) are not reductions and are not flagged.  A

@@ -1,11 +1,10 @@
 """``resource-discipline`` — acquisitions pair with protected releases.
 
-The lab store and the sharedmem backend own raw OS resources: advisory
-file locks over ``os.open`` descriptors (``repro.lab.store._StoreLock``)
-and ``multiprocessing.shared_memory`` segments (three per fan-out in
-``repro.engine.sharedmem``).  PR 4 fixed real bugs in exactly this
-class — a double-``__exit__`` that reached ``flock(None)``, and
-degradation paths that had to tear segments down on every branch.  The
+The lab store owns raw OS resources: advisory file locks over
+``os.open`` descriptors (``repro.lab.store._StoreLock``).  Real bugs
+shipped in exactly this class — a double-``__exit__`` that reached
+``flock(None)``, and degradation paths that had to tear
+``multiprocessing.shared_memory`` segments down on every branch.  The
 rule machine-checks the pairing discipline:
 
 * a function that assigns ``SharedMemory(...)`` to a name must release

@@ -35,25 +35,21 @@ def marked_probability(vec: np.ndarray, regs: A3Registers) -> float:
     return float(np.sum(np.abs(vec[mask]) ** 2))
 
 
-def marked_probabilities(batch, regs: A3Registers, xp=None) -> np.ndarray:
+def marked_probabilities(batch: np.ndarray, regs: A3Registers) -> np.ndarray:
     """Per-row Pr[measuring l yields 1] for a ``(B, dim)`` state batch.
 
-    The batched counterpart of :func:`marked_probability`: *batch* may
-    live in any array namespace (*xp*; numpy when omitted) and the
-    result always comes back as a host numpy ``float64`` array.  Each
-    row is reduced by its own 1-D sum over the gathered l = 1 columns —
+    The batched counterpart of :func:`marked_probability`, as a
+    ``float64`` array.  Each row is reduced by its own 1-D sum over the
+    gathered l = 1 columns —
     bit-identical to calling :func:`marked_probability` row by row (an
     axis-reduction is *not*: NumPy orders the two differently, and the
     engine's measurement coins compare against these exact floats).
     """
-    from ..xp import to_numpy
-
-    xp = np if xp is None else xp
     if batch.ndim != 2 or batch.shape[-1] != regs.dimension:
         raise QuantumError("state batch has the wrong shape")
-    mask = bit_where(regs.dimension, regs.l_qubit, None if xp is np else xp)
-    probs = xp.abs(batch[..., mask]) ** 2
-    return np.array([float(to_numpy(xp.sum(probs[i]))) for i in range(batch.shape[0])])
+    mask = bit_where(regs.dimension, regs.l_qubit)
+    probs = np.abs(batch[..., mask]) ** 2
+    return np.array([float(np.sum(probs[i])) for i in range(batch.shape[0])])
 
 
 class GroverA3:

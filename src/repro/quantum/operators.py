@@ -21,11 +21,6 @@ batch of shape ``(B, dim)`` (the execution engine's dense backend): the
 permutation / sign tables broadcast over the leading batch axis, so one
 call advances all B trials.
 
-Operators take an optional array-namespace parameter ``xp`` (see
-:mod:`repro.xp`; numpy when omitted): the permutation / sign tables are
-built host-side once and placed in that namespace, so ``apply`` runs
-entirely on the namespace's device when the state batch lives there.
-
 Operators also expose ``unitary()`` (dense matrix, small k) for the
 compiler's exactness tests.
 """
@@ -60,21 +55,13 @@ def _bit_table(regs: A3Registers, x: str) -> np.ndarray:
     return bits[idx & regs.index_mask].astype(np.int64)
 
 
-def _in_namespace(table: np.ndarray, xp):
-    """A host-built table, placed in *xp* (numpy passes through)."""
-    if xp is None or xp is np:
-        return table
-    return xp.asarray(table)
-
-
 class _BaseOperator:
     """Shared plumbing: dimension checks and dense-matrix extraction."""
 
     name = "op"
 
-    def __init__(self, regs: A3Registers, xp=None) -> None:
+    def __init__(self, regs: A3Registers) -> None:
         self.regs = regs
-        self.xp = np if xp is None else xp
 
     def apply(self, vec: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -103,12 +90,10 @@ class SkOperator(_BaseOperator):
 
     name = "S_k"
 
-    def __init__(self, regs: A3Registers, xp=None) -> None:
-        super().__init__(regs, xp)
+    def __init__(self, regs: A3Registers) -> None:
+        super().__init__(regs)
         idx = basis_indices(regs.dimension)
-        self._signs = _in_namespace(
-            np.where((idx & regs.index_mask) != 0, -1.0, 1.0), self.xp
-        )
+        self._signs = np.where((idx & regs.index_mask) != 0, -1.0, 1.0)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         self._check(vec)
@@ -121,12 +106,12 @@ class VxOperator(_BaseOperator):
 
     name = "V_x"
 
-    def __init__(self, regs: A3Registers, x: str, xp=None) -> None:
-        super().__init__(regs, xp)
+    def __init__(self, regs: A3Registers, x: str) -> None:
+        super().__init__(regs)
         self.x = x
         xi = _bit_table(regs, x)
         idx = basis_indices(regs.dimension)
-        self._perm = _in_namespace(idx ^ (xi << regs.h_qubit), self.xp)
+        self._perm = idx ^ (xi << regs.h_qubit)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         self._check(vec)
@@ -138,12 +123,12 @@ class WxOperator(_BaseOperator):
 
     name = "W_x"
 
-    def __init__(self, regs: A3Registers, x: str, xp=None) -> None:
-        super().__init__(regs, xp)
+    def __init__(self, regs: A3Registers, x: str) -> None:
+        super().__init__(regs)
         self.x = x
         xi = _bit_table(regs, x)
         h = bit_where(regs.dimension, regs.h_qubit).astype(np.int64)
-        self._signs = _in_namespace(np.where((h & xi) == 1, -1.0, 1.0), self.xp)
+        self._signs = np.where((h & xi) == 1, -1.0, 1.0)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         self._check(vec)
@@ -173,13 +158,13 @@ class RxOperator(_BaseOperator):
 
     name = "R_x"
 
-    def __init__(self, regs: A3Registers, x: str, xp=None) -> None:
-        super().__init__(regs, xp)
+    def __init__(self, regs: A3Registers, x: str) -> None:
+        super().__init__(regs)
         self.x = x
         xi = _bit_table(regs, x)
         idx = basis_indices(regs.dimension)
         h = bit_where(regs.dimension, regs.h_qubit).astype(np.int64)
-        self._perm = _in_namespace(idx ^ ((h & xi) << regs.l_qubit), self.xp)
+        self._perm = idx ^ ((h & xi) << regs.l_qubit)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         self._check(vec)

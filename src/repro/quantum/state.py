@@ -27,34 +27,26 @@ NORM_ATOL = 1e-9
 
 
 @lru_cache(maxsize=None)
-def basis_indices(size: int, xp=None):
-    """``arange(size)`` cached per (dimension, array namespace).
+def basis_indices(size: int) -> np.ndarray:
+    """``arange(size)`` cached per dimension (read-only).
 
     Index tables are rebuilt constantly on the hot paths (measurement
     statistics, operator construction); the cache makes them a lookup.
-    The numpy table (the default) is read-only; *xp* (a NumPy-like
-    namespace, see :mod:`repro.xp`) keeps one device-resident copy per
-    dimension so chunk tiles and repeated operator builds never re-pay
-    the host-to-device transfer.
     """
-    if xp is None or xp is np:
-        idx = np.arange(size)
-        idx.setflags(write=False)
-        return idx
-    return xp.asarray(np.arange(size, dtype=np.int64))
+    idx = np.arange(size)
+    idx.setflags(write=False)
+    return idx
 
 
 @lru_cache(maxsize=None)
-def bit_where(size: int, qubit: int, xp=None):
+def bit_where(size: int, qubit: int) -> np.ndarray:
     """Boolean mask over basis indices where *qubit* is 1 (read-only).
 
-    Like :func:`basis_indices`, cached per (size, qubit, namespace).
+    Like :func:`basis_indices`, cached per (size, qubit).
     """
-    if xp is None or xp is np:
-        mask = ((basis_indices(size) >> qubit) & 1) == 1
-        mask.setflags(write=False)
-        return mask
-    return xp.asarray(np.asarray(bit_where(size, qubit)))
+    mask = ((basis_indices(size) >> qubit) & 1) == 1
+    mask.setflags(write=False)
+    return mask
 
 
 def zero_state(n_qubits: int) -> np.ndarray:

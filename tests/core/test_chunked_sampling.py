@@ -5,7 +5,9 @@ splits a trial batch into contiguous tiles decided sequentially.  Each
 trial's decision depends only on its own child seed, so the
 concatenated decisions must equal the untiled run exactly — for every
 chunk size, every recognizer, and both seeding modes (parent rng and
-explicit trial seeds).
+explicit trial seeds).  Tiling must not repeat per-call work either:
+``fingerprint_prime`` and each distinct A3 iteration count are derived
+once per sampler call however many tiles it splits into.
 """
 
 import numpy as np
@@ -13,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.a2_fingerprint as a2_mod
+import repro.core.classical_recognizer as classical_mod
+import repro.core.quantum_recognizer as quantum_mod
 from repro.core import intersecting_nonmember, member
 from repro.core.classical_recognizer import (
     sample_blockwise_acceptance_batch,
@@ -21,6 +26,8 @@ from repro.core.classical_recognizer import (
 from repro.core.quantum_recognizer import sample_acceptance_batch
 from repro.core.tiling import resolve_chunk_trials, tile_bounds
 from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
+from repro.quantum.grover import marked_probabilities, marked_probability
+from repro.quantum.registers import A3Registers
 
 SAMPLERS = {
     "quantum": sample_acceptance_batch,
@@ -102,6 +109,39 @@ class TestChunkedParity:
         np.testing.assert_array_equal(whole, tiled)
 
     @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    def test_chunk_and_budget_compose(self, words, recognizer):
+        """Both tiling knobs at once still decide every trial identically."""
+        sampler = SAMPLERS[recognizer]
+        for word in words.values():
+            base = sampler(word, 41, np.random.default_rng(3))
+            tiled = sampler(
+                word,
+                41,
+                np.random.default_rng(3),
+                chunk_trials=7,
+                max_batch_bytes=1024,
+            )
+            np.testing.assert_array_equal(base, tiled)
+
+    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    def test_int_seed_matches_seeded_generator(self, words, recognizer):
+        sampler = SAMPLERS[recognizer]
+        for word in words.values():
+            np.testing.assert_array_equal(
+                sampler(word, 60, 11), sampler(word, 60, np.random.default_rng(11))
+            )
+
+    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    def test_seed_plan_reproduces_parent_rng_run(self, words, recognizer):
+        """``trial_seed_plan(seed, n)`` is exactly the per-trial seeding
+        a parent-rng run uses — the contract lab deepening relies on."""
+        sampler = SAMPLERS[recognizer]
+        for word in words.values():
+            parent = sampler(word, 45, np.random.default_rng(21))
+            planned = sampler(word, 45, None, trial_seeds=trial_seed_plan(21, 45))
+            np.testing.assert_array_equal(parent, planned)
+
+    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
     def test_zero_trials_is_empty(self, words, recognizer):
         out = SAMPLERS[recognizer](words["member"], 0, None, trial_seeds=[])
         assert out.dtype == bool and out.size == 0
@@ -148,3 +188,124 @@ class TestBackendBudgetThreading:
             "multiprocess", processes=2, shard_trials=True, max_batch_bytes=4096
         ).estimate_acceptance(word, 60, rng=8)
         assert budgeted.accepted == plain.accepted
+
+
+class TestMarkedProbabilities:
+    def test_marked_probabilities_bit_identical_to_per_row(self):
+        """The engine's coins compare against these exact floats."""
+        regs = A3Registers(2)
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(8, regs.dimension)) + 1j * rng.normal(
+            size=(8, regs.dimension)
+        )
+        batched = marked_probabilities(batch, regs)
+        rows = np.array([marked_probability(batch[i], regs) for i in range(8)])
+        assert (batched == rows).all()
+
+
+class TestPerCallCaching:
+    def _counting_prime(self, monkeypatch):
+        from repro.mathx.primes import fingerprint_prime
+
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return fingerprint_prime(k)
+
+        monkeypatch.setattr(quantum_mod, "fingerprint_prime", counted)
+        monkeypatch.setattr(classical_mod, "fingerprint_prime", counted)
+        monkeypatch.setattr(a2_mod, "fingerprint_prime", counted)
+        return calls
+
+    def test_quantum_prime_derived_once_across_tiles(self, words, monkeypatch):
+        calls = self._counting_prime(monkeypatch)
+        sample_acceptance_batch(
+            words["intersecting"], 40, np.random.default_rng(0), chunk_trials=3
+        )
+        assert calls == [1]  # one call for ~14 tiles
+
+    def test_blockwise_prime_derived_once_across_tiles(self, words, monkeypatch):
+        calls = self._counting_prime(monkeypatch)
+        # a member word: the intersecting one is rejected by the chunk
+        # matcher before any per-trial randomness (or prime) is needed.
+        sample_blockwise_acceptance_batch(
+            words["member"], 40, np.random.default_rng(0), chunk_trials=3
+        )
+        assert calls == [1]
+
+    def test_fingerprint_prime_is_memoized(self):
+        from repro.mathx.primes import fingerprint_prime
+
+        before = fingerprint_prime.cache_info().hits
+        val = fingerprint_prime(3)
+        assert fingerprint_prime(3) == val
+        assert fingerprint_prime.cache_info().hits > before
+
+    def test_detection_cache_never_revisits_a_j(self, monkeypatch):
+        """Across tiles, each distinct j is evolved at most once."""
+        from repro.core.quantum_recognizer import batched_a3_detection
+
+        seen: set[int] = set()
+
+        def recording(k, blocks, js):
+            for j in np.asarray(js).tolist():
+                assert j not in seen, f"j={j} evolved twice"
+                seen.add(j)
+            return batched_a3_detection(k, blocks, js)
+
+        monkeypatch.setattr(quantum_mod, "batched_a3_detection", recording)
+        word = member(2, np.random.default_rng(2))
+        base = sample_acceptance_batch(word, 50, np.random.default_rng(9))
+        seen.clear()
+        tiled = sample_acceptance_batch(word, 50, np.random.default_rng(9), chunk_trials=4)
+        np.testing.assert_array_equal(base, tiled)
+        assert seen  # the wrapper really intercepted the tiled run
+
+    def test_state_batch_floor_re_resolves_tile(self, words, monkeypatch):
+        """When the first resolution lands at tile >= m = 2^k rows, the
+        sampler re-resolves with the saturated state batch as a fixed
+        floor — the second call must carry floor_bytes = m * state_row
+        and drop the per-trial state_row term."""
+        from repro.core.tiling import resolve_chunk_trials
+
+        calls = []
+
+        def recording(trials, max_batch_bytes=None, chunk_trials=None,
+                      bytes_per_trial=1, floor_bytes=0):
+            calls.append(
+                {"bytes_per_trial": bytes_per_trial, "floor_bytes": floor_bytes}
+            )
+            return resolve_chunk_trials(
+                trials, max_batch_bytes, chunk_trials, bytes_per_trial, floor_bytes
+            )
+
+        monkeypatch.setattr(quantum_mod, "resolve_chunk_trials", recording)
+        word = words["intersecting"]  # k = 1: m = 2, state_row = 256
+        base = sample_acceptance_batch(word, 40, np.random.default_rng(2))
+        calls.clear()
+        tiled = sample_acceptance_batch(
+            word, 40, np.random.default_rng(2), max_batch_bytes=1000
+        )
+        np.testing.assert_array_equal(base, tiled)
+        assert len(calls) == 2
+        state_row = 16 << (2 * 1 + 2)
+        assert calls[0]["bytes_per_trial"] > state_row  # per-trial + state row
+        assert calls[1]["floor_bytes"] == 2 * state_row  # m saturated rows
+        assert calls[1]["bytes_per_trial"] < state_row  # per-trial only
+
+    def test_tiny_budget_skips_re_resolution(self, words, monkeypatch):
+        """A budget too small to reach m rows resolves exactly once."""
+        from repro.core.tiling import resolve_chunk_trials
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return resolve_chunk_trials(*args, **kwargs)
+
+        monkeypatch.setattr(quantum_mod, "resolve_chunk_trials", recording)
+        sample_acceptance_batch(
+            words["intersecting"], 10, np.random.default_rng(2), max_batch_bytes=1
+        )
+        assert len(calls) == 1

@@ -77,9 +77,13 @@ class TestEngineApi:
     def test_available_backends(self):
         assert {"sequential", "batched", "multiprocess"} <= set(available_backends())
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExecutionEngine("warp-drive")
+    @pytest.mark.parametrize("name", ["warp-drive", "gpu", "sharedmem"])
+    def test_unknown_backend_rejected(self, name):
+        """Removed backends are unknown names; the error lists the others."""
+        with pytest.raises(ValueError, match=f"unknown backend {name!r}") as err:
+            ExecutionEngine(name)
+        for registered in available_backends():
+            assert registered in str(err.value)
 
     def test_backend_instance_passes_through(self):
         backend = SequentialBackend()
@@ -142,3 +146,8 @@ class TestMultiprocessBackend:
     def test_cannot_nest_itself(self):
         with pytest.raises(ValueError):
             MultiprocessBackend(inner="multiprocess")
+
+    def test_cannot_nest_itself_given_as_instance(self):
+        """The guard checks the resolved inner backend, not its name."""
+        with pytest.raises(ValueError, match="nest"):
+            MultiprocessBackend(inner=MultiprocessBackend(processes=2), processes=2)

@@ -4,7 +4,8 @@ A worker killed mid-flight (OOM, sandbox reaping) surfaces as
 ``BrokenProcessPool`` from the pool's result iterator; restricted
 environments raise ``OSError``/``PermissionError`` at pool creation.
 All of them must degrade to inline execution with identical counts
-instead of crashing the sweep.
+instead of crashing the sweep.  Empty seed lists never reach a pool,
+and the inner backend may be given by name or as an instance.
 """
 
 import concurrent.futures
@@ -14,7 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core import intersecting_nonmember, member
-from repro.engine import ExecutionEngine, MultiprocessBackend
+from repro.engine import (
+    BatchedDenseBackend,
+    ExecutionEngine,
+    MultiprocessBackend,
+    get_backend,
+    trial_seed_plan,
+)
+
+RECOGNIZERS = ["quantum", "classical-blockwise", "classical-full"]
 
 
 class _ExplodingPool:
@@ -95,3 +104,45 @@ class TestShardConfiguration:
             backend.count_accepted(
                 "1#00#", 5, np.random.default_rng(0), factory=lambda g: None
             )
+
+
+class TestEmptySeedListIsANoOp:
+    """``count_accepted_from_seeds(word, [])`` — the legal empty
+    continuation ``trial_seed_plan(seed, n)[n:]`` — returns 0 accepted
+    on every backend instead of raising."""
+
+    @pytest.mark.parametrize("backend", ["sequential", "batched", "multiprocess"])
+    @pytest.mark.parametrize("recognizer", RECOGNIZERS)
+    def test_empty_slice_counts_zero(self, backend, recognizer):
+        word = intersecting_nonmember(1, 2, np.random.default_rng(1))
+        b = get_backend(backend)
+        plan = trial_seed_plan(9, 8)
+        assert b.count_accepted_from_seeds(word, plan[8:], recognizer) == 0
+        assert b.count_accepted_from_seeds(word, [], recognizer) == 0
+
+    def test_empty_slice_never_reaches_a_pool(self, monkeypatch):
+        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
+            raise AssertionError("empty shard reached the pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        backend = get_backend("multiprocess", processes=4)
+        assert backend.count_accepted_from_seeds("1#00#", [], "quantum") == 0
+
+
+class TestInnerBackendResolution:
+    def test_instance_inner_without_budget_still_works(self):
+        """A configured backend *instance* as inner must keep working
+        when no budget is set (get_backend rejects options alongside
+        instances)."""
+        word = intersecting_nonmember(1, 2, np.random.default_rng(1))
+        mp = MultiprocessBackend(inner=BatchedDenseBackend(), processes=1)
+        plain = get_backend("batched")
+        plan = trial_seed_plan(9, 20)
+        assert mp.count_accepted_from_seeds(
+            word, plan, "quantum"
+        ) == plain.count_accepted_from_seeds(word, plan, "quantum")
+
+    @pytest.mark.parametrize("removed", ["gpu", "sharedmem"])
+    def test_removed_backend_names_are_unknown_inners(self, removed):
+        with pytest.raises(ValueError, match="unknown backend"):
+            MultiprocessBackend(inner=removed)

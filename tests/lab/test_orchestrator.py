@@ -6,7 +6,7 @@ import pytest
 import repro.lab.orchestrator as orchestrator_mod
 from repro.analysis import acceptance_sweep
 from repro.core import intersecting_nonmember, member
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, MultiprocessBackend
 from repro.lab import ExperimentSpec, Orchestrator, ResultStore
 
 
@@ -163,12 +163,14 @@ class TestMemoryBudget:
         assert deep.estimate.accepted == fresh.accepted
 
 
-class TestSharedmemDeepening:
-    def test_sharedmem_deepening_matches_fresh(self, tmp_path):
-        """The lab's continuation slices fan out through shared memory
+class TestPoolDeepening:
+    def test_sharded_multiprocess_deepening_matches_fresh(self, tmp_path, monkeypatch):
+        """The lab's continuation slices fan out over a two-process pool
         with counts identical to a fresh batched run."""
         orch = Orchestrator(tmp_path)
-        spec = _spec(trials=60, backend="sharedmem")
+        pool = MultiprocessBackend(processes=2, shard_trials=True)
+        monkeypatch.setattr(orch, "_backend", lambda spec: pool)
+        spec = _spec(trials=60, backend="multiprocess")
         orch.run(spec)
         deep = orch.run(spec.with_trials(180))
         fresh = ExecutionEngine("batched").estimate_acceptance(

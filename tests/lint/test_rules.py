@@ -8,6 +8,8 @@ only — nothing touches disk).
 
 import textwrap
 
+import pytest
+
 from repro.lint import LintConfig, lint_source
 
 #: Path inside the enforced tree but outside every allowlist.
@@ -78,70 +80,6 @@ class TestRngDiscipline:
         assert run(src, KERNEL, "rng-discipline") == []
 
 
-class TestXpNamespace:
-    def test_hardcoded_np_op_in_xp_function_fires(self):
-        src = """
-            import numpy as np
-            def kernel(batch, xp):
-                return np.sum(batch)
-        """
-        (finding,) = run(src, KERNEL, "xp-namespace")
-        assert "np.sum" in finding.message and "xp.sum" in finding.message
-
-    def test_function_without_xp_is_out_of_scope(self):
-        src = """
-            import numpy as np
-            def host_only(batch):
-                return np.sum(batch)
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_in_namespace_boundary_is_silent(self):
-        src = """
-            import numpy as np
-            def build(table, xp):
-                return _in_namespace(np.where(table, 1.0, 0.0), xp)
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_xp_asarray_wrapping_is_silent(self):
-        src = """
-            import numpy as np
-            def place(xp):
-                return xp.asarray(np.concatenate([np.zeros_like(x) for x in ()]))
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_host_guard_branch_is_silent_but_device_branch_fires(self):
-        src = """
-            import numpy as np
-            def reduce(batch, xp):
-                if xp is None or xp is np:
-                    return np.sum(batch)
-                return np.sum(xp.asarray(batch))
-        """
-        (finding,) = run(src, KERNEL, "xp-namespace")
-        assert finding.line == 6  # only the post-guard np.sum
-
-    def test_to_numpy_gather_is_silent(self):
-        src = """
-            import numpy as np
-            def gather(probs, batch, xp):
-                return np.sum(to_numpy(xp.sum(probs)))
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_host_constructors_are_not_flagged(self):
-        src = """
-            import numpy as np
-            def bookkeeping(trials, xp):
-                mask = np.zeros(trials, dtype=bool)
-                seeds = np.empty(trials, dtype=object)
-                return mask, seeds
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-
 class TestFloatDeterminism:
     def test_axis_reduction_in_core_path_fires(self):
         src = """
@@ -184,6 +122,36 @@ class TestFloatDeterminism:
         """
         (finding,) = run(src, KERNEL, "float-determinism")
         assert "axis" in finding.message
+
+    @pytest.mark.parametrize(
+        "reduction", ["nansum", "mean", "nanmean", "prod", "nanprod", "average"]
+    )
+    def test_whole_reduction_family_fires(self, reduction):
+        src = f"""
+            import numpy as np
+            def probs(amps):
+                return np.{reduction}(amps, axis=1)
+        """
+        (finding,) = run(src, KERNEL, "float-determinism")
+        assert f"`{reduction}(" in finding.message
+
+    @pytest.mark.parametrize("call", ["stack", "packbits", "concatenate"])
+    def test_axis_on_non_reductions_is_silent(self, call):
+        src = f"""
+            import numpy as np
+            def shape(rows):
+                return np.{call}(rows, axis=1)
+        """
+        assert run(src, KERNEL, "float-determinism") == []
+
+    def test_core_recognizer_path_is_in_scope(self):
+        src = """
+            import numpy as np
+            def probs(amps):
+                return np.sum(amps, axis=0)
+        """
+        (finding,) = run(src, "src/repro/core/fake_recognizer.py", "float-determinism")
+        assert finding.rule == "float-determinism"
 
 
 class TestResourceDiscipline:

@@ -6,14 +6,15 @@ mode.  Telemetry consults no randomness and feeds nothing back into
 execution — these tests are the enforcement.
 """
 
-import warnings
+import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import member
-from repro.engine import ExecutionEngine, GpuDegradationWarning, available_backends
+from repro.engine import ExecutionEngine, available_backends
 from repro.obs import get_recorder, get_registry, set_trace_mode, span
 from repro.obs.spans import _NULL_SPAN
 
@@ -30,9 +31,7 @@ def _clean_telemetry():
 
 
 def _engine(backend):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GpuDegradationWarning)
-        return ExecutionEngine(backend)
+    return ExecutionEngine(backend)
 
 
 class TestCountInvariance:
@@ -141,19 +140,31 @@ class TestLayerMetrics:
             == 1
         )
 
-    def test_gpu_degradation_counted_without_device(self):
-        from repro.xp import namespace_status
+    def test_pool_degradation_counted_once(self, monkeypatch):
+        import numpy as np
 
-        statuses = namespace_status()
-        if any(
-            statuses[n].available for n in statuses if n != "numpy"
-        ):  # pragma: no cover - device hosts take the real path
-            pytest.skip("an accelerator is visible; no degradation to count")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GpuDegradationWarning)
-            ExecutionEngine("gpu")
+        class _ExplodingPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ExplodingPool)
+        word = member(1, np.random.default_rng(0))
+        ExecutionEngine(
+            "multiprocess", processes=2, shard_trials=True
+        ).estimate_acceptance(word, 20, rng=3)
         degradations = get_registry().counters_with_prefix("engine.degradations")
-        assert degradations == {"engine.degradations{backend=gpu,to=batched}": 1}
+        assert degradations == {
+            "engine.degradations{backend=multiprocess,to=inline}": 1
+        }
 
     def test_lab_runs_counted_by_source(self, tmp_path):
         from repro.lab import ExperimentSpec, Orchestrator

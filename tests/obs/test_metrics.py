@@ -134,7 +134,7 @@ class TestRegistry:
         a = reg.counter("x", backend="batched")
         b = reg.counter("x", backend="batched")
         assert a is b
-        assert reg.counter("x", backend="gpu") is not a
+        assert reg.counter("x", backend="sequential") is not a
 
     def test_label_key_may_shadow_the_name_parameter(self):
         # ``name`` as a label key must not collide with the positional
@@ -151,10 +151,10 @@ class TestRegistry:
 
     def test_counters_with_prefix(self):
         reg = MetricsRegistry()
-        reg.counter("engine.degradations", backend="gpu", to="batched").inc()
+        reg.counter("engine.degradations", backend="multiprocess", to="inline").inc()
         reg.counter("engine.run.calls").inc()
         found = reg.counters_with_prefix("engine.degradations")
-        assert found == {"engine.degradations{backend=gpu,to=batched}": 1}
+        assert found == {"engine.degradations{backend=multiprocess,to=inline}": 1}
 
     def test_snapshot_is_versioned_json(self):
         reg = MetricsRegistry()
